@@ -83,38 +83,25 @@ fn main() {
         |mut s| black_box(s.step()),
     );
 
-    // Serial vs parallel/batched step at the same seed: the two arms produce
-    // bit-identical iteration records (tests/determinism.rs pins this), so
-    // any gap is pure recommend-side overhead — per-point Cholesky clones
-    // and solves vs one blocked solve per batch, plus thread fan-out for the
-    // GP fits and posterior draws.
-    for (name, parallel) in
-        [("restune_meta_step_serial_path", false), ("restune_meta_step_parallel_path", true)]
-    {
-        let learners = learners.clone();
-        let mf = mf.clone();
-        b.bench_with_setup(
-            name,
-            move || {
-                let mut config = quick_config(3);
-                config.parallel = parallel;
-                let mut s = TuningSession::with_base_learners(
-                    env(3),
-                    config,
-                    learners.clone(),
-                    mf.clone(),
-                );
-                // Warm to iteration 13 (not a multiple of 4) so the timed
-                // step can't hit the stagnation safeguard, which skips the
-                // acquisition optimization and would void the comparison.
-                for _ in 0..13 {
-                    s.step();
-                }
-                s
-            },
-            |mut s| black_box(s.step()),
-        );
-    }
+    // Warmed to iteration 13 (not a multiple of 4) so the timed step can't
+    // hit the stagnation safeguard, which skips the acquisition optimization:
+    // this arm always times the full recommend path.
+    b.bench_with_setup(
+        "restune_meta_step_recommend_path",
+        || {
+            let mut s = TuningSession::with_base_learners(
+                env(3),
+                quick_config(3),
+                learners.clone(),
+                mf.clone(),
+            );
+            for _ in 0..13 {
+                s.step();
+            }
+            s
+        },
+        |mut s| black_box(s.step()),
+    );
 
     // Tracing overhead (DESIGN.md §10): the warmed non-meta step with the
     // collector disabled — the default no-op sink, one relaxed atomic load

@@ -187,22 +187,13 @@ fn iters_to_10pct(curve: &[f64], target: f64) -> Option<usize> {
     curve.iter().position(|&b| b <= target * 1.10).map(|i| i + 1)
 }
 
-fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn run_digest(run: &ArmRun) -> u64 {
     let words = run
         .history
         .iter()
         .flat_map(|r| [r.objective.to_bits(), r.best_feasible_objective.to_bits()])
         .chain([run.restarts, run.restart_iter as u64]);
-    fnv1a64(words.flat_map(|w| w.to_le_bytes()))
+    xrand::fnv1a(&words.flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>())
 }
 
 fn main() {

@@ -15,17 +15,6 @@ use restune_core::problem::ResourceKind;
 use restune_core::tuner::{RestuneConfig, TuningEnvironment};
 use dbsim::{InstanceType, KnobSet, WorkloadSpec};
 
-/// FNV-1a over a byte string — the same digest primitive the golden tests
-/// use.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// A cheap-but-real per-tenant config: two LHS bootstraps, then GP-driven
 /// iterations with small budgets, so a thousand tenants finish in seconds
 /// while still exercising fit + acquisition on every tenant.
@@ -71,7 +60,7 @@ fn run_arm(workers: usize, tenants: usize, iters: usize) -> Arm {
     // One digest over every tenant's record JSON, in id order.
     let mut h: u64 = 0xcbf29ce484222325;
     for t in &out.tenants {
-        h ^= fnv1a(t.record_json().expect("render record").as_bytes());
+        h ^= xrand::fnv1a(t.record_json().expect("render record").as_bytes());
         h = h.wrapping_mul(0x100000001b3);
     }
     Arm { workers, wall_s: out.wall_s, tenants_per_s: out.tenants_per_s(), digest: h }

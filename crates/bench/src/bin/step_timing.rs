@@ -1,8 +1,7 @@
-//! Phase-level drill-down of one tuning step on the serial vs the
-//! parallel/batched path, rendered from the trace collector (DESIGN.md
-//! §10): the warmed step's span tree shows the per-metric GP fits, the
-//! per-learner posterior draws, and the candidate-scoring chunks that
-//! `IterationTiming` only reports in aggregate.
+//! Phase-level drill-down of one warmed meta-boosted tuning step, rendered
+//! from the trace collector (DESIGN.md §10): the span tree shows the
+//! per-metric GP fits, the per-learner posterior draws, and the candidate
+//! scoring that `IterationTiming` only reports in aggregate.
 
 use dbsim::{InstanceType, KnobSet, SimulatedDbms, WorkloadSpec};
 use restune_bench::trace_view;
@@ -31,35 +30,31 @@ fn main() {
     let learners = repo.base_learners(&gp::GpConfig::fixed(), |_| true);
     let mf = characterizer.embed_workload(&WorkloadSpec::twitter(), 1).probs;
 
-    trace::enable();
-    for (name, parallel) in [("serial", false), ("parallel", true)] {
-        let mut config = RestuneConfig {
-            optimizer: AcquisitionOptimizer { n_candidates: 600, n_local: 120, local_sigma: 0.08 },
-            gp: gp::GpConfig { restarts: 1, adam_iters: 25, ..Default::default() },
-            dynamic_samples: 16,
-            seed: 3,
-            ..Default::default()
-        };
-        config.parallel = parallel;
-        let env = TuningEnvironment::builder()
-            .instance(InstanceType::A)
-            .workload(WorkloadSpec::twitter())
-            .resource(ResourceKind::Cpu)
-            .knob_set(KnobSet::cpu())
-            .seed(3)
-            .build();
-        let mut s = TuningSession::with_base_learners(env, config, learners.clone(), mf.clone());
-        // Warm past the bootstrap so dynamic weights and the full ensemble
-        // are live, then trace exactly one step.
-        for _ in 0..13 {
-            s.step();
-        }
-        trace::reset();
+    let config = RestuneConfig {
+        optimizer: AcquisitionOptimizer { n_candidates: 600, n_local: 120, local_sigma: 0.08 },
+        gp: gp::GpConfig { restarts: 1, adam_iters: 25, ..Default::default() },
+        dynamic_samples: 16,
+        seed: 3,
+        ..Default::default()
+    };
+    let env = TuningEnvironment::builder()
+        .instance(InstanceType::A)
+        .workload(WorkloadSpec::twitter())
+        .resource(ResourceKind::Cpu)
+        .knob_set(KnobSet::cpu())
+        .seed(3)
+        .build();
+    let mut s = TuningSession::with_base_learners(env, config, learners, mf);
+    // Warm past the bootstrap so dynamic weights and the full ensemble are
+    // live, then trace exactly one step.
+    for _ in 0..13 {
         s.step();
-        let snap = trace::snapshot();
-        println!("== {name} path, one warmed step ==");
-        print!("{}", trace_view::render_span_tree(&snap));
-        println!();
     }
+    trace::enable();
+    trace::reset();
+    s.step();
+    let snap = trace::snapshot();
     trace::disable();
+    println!("== one warmed step ==");
+    print!("{}", trace_view::render_span_tree(&snap));
 }

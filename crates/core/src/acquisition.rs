@@ -84,6 +84,13 @@ impl ConstrainedExpectedImprovement {
     }
 }
 
+/// Candidates per batched scoring call on the sequential path. Scoring the
+/// whole ~1,700-candidate set of a default step in one batch sizes every
+/// per-batch prediction matrix to the full set and raised a meta step's peak
+/// RSS by about a fifth (DESIGN.md §8); chunks of this size keep the
+/// blocked-solve speedup at a fraction of the memory.
+const SCORE_CHUNK: usize = 128;
+
 /// Configuration for the acquisition optimizer.
 #[derive(Debug, Clone, Copy)]
 pub struct AcquisitionOptimizer {
@@ -106,7 +113,7 @@ impl AcquisitionOptimizer {
     /// uniform points over `[0,1]^d`, then `n_local` Gaussian perturbations
     /// cycling through `anchors`. Generation is serial and consumes the RNG
     /// stream in a fixed order, so scoring — which never touches the RNG —
-    /// can be batched or parallelized freely without moving the proposal.
+    /// can be chunked freely without moving the proposal.
     fn generate_candidates(&self, dim: usize, anchors: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_local = if anchors.is_empty() { 0 } else { self.n_local };
@@ -130,8 +137,7 @@ impl AcquisitionOptimizer {
     }
 
     /// Argmax over scored candidates with first-index tie-breaking (a strict
-    /// `>` scan), matching the incremental best-tracking the serial path
-    /// always used.
+    /// `>` scan).
     fn select(mut candidates: Vec<Vec<f64>>, scores: &[f64]) -> Vec<f64> {
         debug_assert_eq!(candidates.len(), scores.len());
         let mut best = 0;
@@ -145,29 +151,13 @@ impl AcquisitionOptimizer {
         candidates.swap_remove(best)
     }
 
-    /// Maximizes `score` over `[0,1]^d` via random search plus local
-    /// refinement around `anchors` (typically the incumbent best points).
-    pub fn optimize(
-        &self,
-        dim: usize,
-        anchors: &[Vec<f64>],
-        seed: u64,
-        mut score: impl FnMut(&[f64]) -> f64,
-    ) -> Vec<f64> {
-        let candidates = self.generate_candidates(dim, anchors, seed);
-        trace::count("acq.candidates_scored", candidates.len() as u64);
-        let span = trace::span!("score_candidates", n = candidates.len());
-        let scores: Vec<f64> = candidates.iter().map(|p| score(p)).collect();
-        let _ = span.finish_s();
-        Self::select(candidates, &scores)
-    }
-
-    /// [`AcquisitionOptimizer::optimize`] over a *batched* scorer: the
-    /// candidate set is pre-generated serially (same RNG stream as
-    /// `optimize`), then scored in chunks — on scoped threads when
-    /// `parallel` — and the argmax is chosen with index tie-breaking.
-    /// Returns the same point as `optimize` for any scorer where
-    /// `score_batch(pts)[i] == score(&pts[i])`.
+    /// Maximizes a *batched* scorer over `[0,1]^d` via random search plus
+    /// local refinement around `anchors` (typically the incumbent best
+    /// points). The candidate set is pre-generated serially, then scored in
+    /// chunks — [`SCORE_CHUNK`] at a time in series, or one chunk per scoped
+    /// thread when `parallel` — and the argmax is chosen with index
+    /// tie-breaking, so the proposal does not depend on how the scoring is
+    /// split.
     pub fn optimize_batch(
         &self,
         dim: usize,
@@ -206,7 +196,7 @@ impl AcquisitionOptimizer {
             })
         } else {
             let span = trace::span!("score_candidates", n = candidates.len());
-            let scores = score_batch(&candidates);
+            let scores = candidates.chunks(SCORE_CHUNK).flat_map(&score_batch).collect();
             let _ = span.finish_s();
             scores
         };
@@ -304,13 +294,22 @@ mod tests {
         assert!(cei.value(&likely) > cei.value(&unlikely));
     }
 
+    /// Lifts a per-point score to the batched scorer `optimize_batch` takes.
+    fn per_point(score: impl Fn(&[f64]) -> f64 + Sync) -> impl Fn(&[Vec<f64>]) -> Vec<f64> + Sync {
+        move |pts| pts.iter().map(|p| score(p)).collect()
+    }
+
     #[test]
     fn optimizer_finds_a_known_peak() {
         let opt = AcquisitionOptimizer::default();
         // Score peaks at (0.7, 0.3).
-        let best = opt.optimize(2, &[], 3, |p| {
-            -((p[0] - 0.7) * (p[0] - 0.7) + (p[1] - 0.3) * (p[1] - 0.3))
-        });
+        let best = opt.optimize_batch(
+            2,
+            &[],
+            3,
+            false,
+            per_point(|p| -((p[0] - 0.7) * (p[0] - 0.7) + (p[1] - 0.3) * (p[1] - 0.3))),
+        );
         assert!((best[0] - 0.7).abs() < 0.08, "{best:?}");
         assert!((best[1] - 0.3).abs() < 0.08, "{best:?}");
     }
@@ -320,29 +319,32 @@ mod tests {
         let opt = AcquisitionOptimizer { n_candidates: 10, n_local: 400, local_sigma: 0.02 };
         // A very narrow peak near the anchor that random search would miss.
         let anchor = vec![0.912, 0.118];
-        let best = opt.optimize(2, std::slice::from_ref(&anchor), 5, |p| {
+        let best = opt.optimize_batch(2, std::slice::from_ref(&anchor), 5, false, per_point(|p| {
             let d2 = (p[0] - 0.91) * (p[0] - 0.91) + (p[1] - 0.12) * (p[1] - 0.12);
             (-d2 * 2000.0).exp()
-        });
+        }));
         let d = ((best[0] - 0.91).powi(2) + (best[1] - 0.12).powi(2)).sqrt();
         assert!(d < 0.05, "local refinement missed the peak: {best:?}");
     }
 
     #[test]
-    fn batched_optimize_matches_serial_optimize_bitwise() {
+    fn chunked_scoring_matches_the_per_point_argmax_bitwise() {
+        // More candidates than one scoring chunk, so the sequential path
+        // really splits the batch.
         let opt = AcquisitionOptimizer { n_candidates: 250, n_local: 90, local_sigma: 0.05 };
         let score = |p: &[f64]| {
             -((p[0] - 0.42) * (p[0] - 0.42)) - (p[1] - 0.77).abs() + (p[2] * 3.0).sin()
         };
         let anchors = vec![vec![0.4, 0.8, 0.5], vec![0.1, 0.1, 0.9]];
         for seed in [0, 3, 19] {
-            let serial = opt.optimize(3, &anchors, seed, score);
+            let candidates = opt.generate_candidates(3, &anchors, seed);
+            assert!(candidates.len() > SCORE_CHUNK);
+            let scores: Vec<f64> = candidates.iter().map(|p| score(p)).collect();
+            let expected = AcquisitionOptimizer::select(candidates, &scores);
             for parallel in [false, true] {
-                let batched = opt.optimize_batch(3, &anchors, seed, parallel, |pts| {
-                    pts.iter().map(|p| score(p)).collect()
-                });
+                let batched = opt.optimize_batch(3, &anchors, seed, parallel, per_point(score));
                 assert_eq!(
-                    serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     batched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "seed {seed} parallel {parallel}"
                 );
@@ -353,13 +355,14 @@ mod tests {
     #[test]
     fn tied_scores_pick_the_first_candidate() {
         // Index tie-breaking is part of the determinism contract: a constant
-        // score must select the very first generated candidate on every path.
-        let opt = AcquisitionOptimizer { n_candidates: 40, n_local: 20, local_sigma: 0.1 };
+        // score must select the very first generated candidate however the
+        // scoring is split.
+        let opt = AcquisitionOptimizer { n_candidates: 140, n_local: 20, local_sigma: 0.1 };
         let anchors = vec![vec![0.5, 0.5]];
         let first = opt.generate_candidates(2, &anchors, 8)[0].clone();
-        let serial = opt.optimize(2, &anchors, 8, |_| 1.0);
-        let batched = opt.optimize_batch(2, &anchors, 8, true, |pts| vec![1.0; pts.len()]);
-        assert_eq!(serial, first);
-        assert_eq!(batched, first);
+        for parallel in [false, true] {
+            let batched = opt.optimize_batch(2, &anchors, 8, parallel, |pts| vec![1.0; pts.len()]);
+            assert_eq!(batched, first, "parallel {parallel}");
+        }
     }
 }

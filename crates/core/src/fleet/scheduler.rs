@@ -1,12 +1,10 @@
 //! The fleet's persistent worker pool (DESIGN.md §12).
 //!
-//! The per-tenant recommend path used to be the only source of parallelism,
-//! fanning out short-lived `std::thread::scope` spawns inside every
-//! iteration. At fleet scale the parallel unit is the *tenant*: a fixed pool
-//! of long-lived workers pulls tenant slices off one injector queue, so a
-//! thousand tenants share `workers` threads instead of spawning thousands of
-//! their own, and a slice re-enqueues itself until its tenant finishes —
-//! cooperative round-robin fairness without preemption.
+//! A tuning session is single-threaded; at fleet scale the parallel unit is
+//! the *tenant*: a fixed pool of long-lived workers pulls tenant slices off
+//! one injector queue, so a thousand tenants share `workers` threads, and a
+//! slice re-enqueues itself until its tenant finishes — cooperative
+//! round-robin fairness without preemption.
 //!
 //! The pool is deliberately strategy-agnostic: a job is any `FnOnce` that
 //! receives a [`PoolHandle`] (to resubmit follow-up work). Panic isolation

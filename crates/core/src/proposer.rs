@@ -163,7 +163,6 @@ impl RestuneProposer {
             view.lat,
             scalers,
             &gp_config,
-            self.config.parallel,
         )?;
         self.target_cache = Some(fitted.clone());
         Ok(fitted)
@@ -203,7 +202,6 @@ impl RestuneProposer {
                     self.config.dynamic_samples,
                     self.config.max_rank_points,
                     self.config.dilution_guard,
-                    self.config.parallel,
                     seed,
                 )
             };
@@ -265,17 +263,23 @@ impl RestuneProposer {
         constraints_from_target: bool,
         seed: u64,
     ) -> Vec<f64> {
-        // Joint prediction with constraints optionally sourced from the
-        // target learner alone.
-        let predict = |p: &[f64]| {
-            let mut pred = surrogate.predict(p);
+        // Joint batched prediction with constraints optionally sourced from
+        // the target learner alone; each batch is one blocked solve per
+        // metric GP.
+        let predict_batch = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
+            let mut preds = surrogate.predict_batch(pts);
             if constraints_from_target {
                 let t = surrogate.target();
-                pred.tps = t.tps.predict(p).expect("dim");
-                pred.lat = t.lat.predict(p).expect("dim");
+                let tps = t.tps.predict_batch(pts).expect("dim");
+                let lat = t.lat.predict_batch(pts).expect("dim");
+                for ((pred, tps), lat) in preds.iter_mut().zip(tps).zip(lat) {
+                    pred.tps = tps;
+                    pred.lat = lat;
+                }
             }
-            pred
+            preds
         };
+        let predict = |p: &[f64]| predict_batch(&[p.to_vec()])[0];
         // Re-scaled constraint bounds λ' = L_M(θ_d) (§6.1), widened by the
         // 5 % tolerance expressed in target-σ units.
         let default_pred = predict(view.default_point);
@@ -324,7 +328,7 @@ impl RestuneProposer {
 
         // Per-prediction acquisition value. Resolving the incumbent up front
         // keeps the scoring closure pure (no RNG, no per-call setup), which
-        // is what allows batched/parallel candidate scoring below.
+        // is what allows batched candidate scoring below.
         enum Scorer {
             Cei(ConstrainedExpectedImprovement),
             Ei { incumbent: f64 },
@@ -366,34 +370,9 @@ impl RestuneProposer {
             }
         };
 
-        if self.config.parallel {
-            // Joint *batched* prediction with the same constraint override as
-            // `predict`; each batch is one blocked solve per metric GP.
-            let predict_batch = |pts: &[Vec<f64>]| -> Vec<SurrogatePrediction> {
-                let mut preds = surrogate.predict_batch(pts);
-                if constraints_from_target {
-                    let t = surrogate.target();
-                    let tps = t.tps.predict_batch(pts).expect("dim");
-                    let lat = t.lat.predict_batch(pts).expect("dim");
-                    for ((pred, tps), lat) in preds.iter_mut().zip(tps).zip(lat) {
-                        pred.tps = tps;
-                        pred.lat = lat;
-                    }
-                }
-                preds
-            };
-            self.config.optimizer.optimize_batch(
-                view.problem.dim(),
-                &anchors,
-                seed,
-                true,
-                |pts| predict_batch(pts).iter().map(&value).collect(),
-            )
-        } else {
-            self.config.optimizer.optimize(view.problem.dim(), &anchors, seed, |p| {
-                value(&predict(p))
-            })
-        }
+        self.config.optimizer.optimize_batch(view.problem.dim(), &anchors, seed, false, |pts| {
+            predict_batch(pts).iter().map(&value).collect()
+        })
     }
 }
 

@@ -93,8 +93,23 @@ pub fn shap_path(
             p99_ms: contributions[i].2,
         })
         .collect();
-    attributions.sort_by(|a, b| b.cpu.abs().partial_cmp(&a.cpu.abs()).unwrap());
+    rank_by_cpu(&mut attributions);
     ShapPath { attributions, default_metrics, current_metrics }
+}
+
+/// Orders attributions by descending |CPU contribution|. Total order, not
+/// `partial_cmp(..).unwrap()`: a NaN contribution (a degenerate simulator
+/// output) sorts last instead of panicking the explanation.
+fn rank_by_cpu(attributions: &mut [ShapAttribution]) {
+    let key = |a: &ShapAttribution| {
+        let v = a.cpu.abs();
+        if v.is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            v
+        }
+    };
+    attributions.sort_by(|a, b| key(b).total_cmp(&key(a)));
 }
 
 fn exact_shapley(
@@ -220,6 +235,23 @@ mod tests {
         let purge = path.attributions.iter().find(|a| a.knob == "innodb_purge_threads").unwrap();
         assert!(purge.cpu.abs() < 1e-9);
         assert!(purge.tps.abs() < 1e-9);
+    }
+
+    #[test]
+    fn nan_contribution_ranks_last_without_panicking() {
+        let attribution = |knob: &str, cpu: f64| ShapAttribution {
+            knob: knob.to_string(),
+            default_value: 0.0,
+            current_value: 1.0,
+            cpu,
+            tps: 0.0,
+            p99_ms: 0.0,
+        };
+        let mut attributions =
+            vec![attribution("small", 0.5), attribution("nan", f64::NAN), attribution("big", -3.0)];
+        rank_by_cpu(&mut attributions);
+        let order: Vec<&str> = attributions.iter().map(|a| a.knob.as_str()).collect();
+        assert_eq!(order, ["big", "small", "nan"]);
     }
 
     #[test]

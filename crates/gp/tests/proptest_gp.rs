@@ -102,8 +102,8 @@ fn constant_shift_moves_predictions_by_the_shift() {
 fn predict_batch_matches_per_point_predict_bit_for_bit() {
     // The batched path (one cross-kernel matrix, one blocked triangular
     // solve) must be indistinguishable from the scalar path at the bit
-    // level — this is what lets the acquisition optimizer score candidates
-    // in parallel chunks without perturbing any seeded run.
+    // level — this is what lets the recommender score candidates in
+    // batched chunks without perturbing any seeded run.
     check(
         "predict_batch_matches_per_point_predict_bit_for_bit",
         Config::default().cases(48).seed(0x6B_0006),

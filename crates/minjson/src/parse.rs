@@ -3,13 +3,19 @@
 //! Accepts exactly the RFC 8259 grammar: no trailing commas, no comments,
 //! no bare `NaN`/`Infinity` tokens. Numbers are parsed into `f64` via the
 //! standard library, which round-trips the shortest-form output of the
-//! printer bit-exactly.
+//! printer bit-exactly. Nesting is capped at [`MAX_DEPTH`] so a hostile
+//! document fails with an error instead of overflowing the stack.
 
 use crate::{Json, JsonError};
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so an unbounded `[[[…` document would abort the process with
+/// a stack overflow; every persisted artifact nests a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -22,6 +28,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -59,8 +67,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -69,6 +77,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -280,5 +303,29 @@ mod tests {
     #[test]
     fn huge_numbers_are_rejected() {
         assert!(parse("1e999").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let doc = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let err = parse(&doc).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // The offending bracket is the first one past the limit.
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = format!("{}{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn nesting_exactly_at_the_limit_parses() {
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &parse(&doc).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Arr(Vec::new()));
+        let mixed = format!("{}[]{}", r#"{"a":"#.repeat(MAX_DEPTH - 1), "}".repeat(MAX_DEPTH - 1));
+        assert!(parse(&mixed).is_ok());
     }
 }

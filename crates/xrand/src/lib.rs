@@ -12,7 +12,8 @@
 //! * [`SeedableRng`] — `seed_from_u64` / `from_seed`;
 //! * [`rngs::StdRng`] — the concrete generator, a xoshiro256++ seeded
 //!   through splitmix64;
-//! * [`dist`] — Box–Muller standard-normal helpers.
+//! * [`dist`] — Box–Muller standard-normal helpers;
+//! * [`fnv1a`] — the 64-bit FNV-1a digest of golden and determinism checks.
 //!
 //! The generator and every derived sampler are fully specified here, so the
 //! byte-level output stream is stable across platforms and compiler
@@ -72,6 +73,19 @@ impl Rng for SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
     }
+}
+
+/// 64-bit FNV-1a over a byte string (Fowler–Noll–Vo; public domain
+/// reference constants) — the workspace's digest primitive. Golden tests and
+/// bench determinism checks hash canonical run text with it, so its output
+/// is pinned like the generator streams.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
 }
 
 /// Types that can be drawn uniformly from a generator's raw words.
@@ -276,6 +290,13 @@ mod tests {
         let mut sm = SplitMix64::new(1234567);
         let got: Vec<u64> = (0..3).map(|_| sm.next_u64()).collect();
         assert_eq!(got, vec![6457827717110365317, 3203168211198807973, 9817491932198370423]);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

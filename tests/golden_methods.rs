@@ -76,15 +76,6 @@ fn golden_ctx(repo: &DataRepository) -> MethodContext<'_> {
 
 /// FNV-1a over the canonical trace text: stable, dependency-free, and
 /// sensitive to every bit of every float (shortest-round-trip `{:?}`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn outcome_digest(o: &TuningOutcome) -> u64 {
     let mut text = String::new();
     for r in &o.history {
@@ -110,7 +101,7 @@ fn outcome_digest(o: &TuningOutcome) -> u64 {
         o.failures,
         format!("{:?}", o.best_config),
     ));
-    fnv1a(text.as_bytes())
+    xrand::fnv1a(text.as_bytes())
 }
 
 #[test]

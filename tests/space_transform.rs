@@ -39,15 +39,6 @@ fn quick_config(seed: u64) -> RestuneConfig {
 
 /// FNV-1a over the full iteration trace — same digest construction as
 /// `golden_methods.rs`, pinning every bit of the projected session.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn outcome_digest(o: &TuningOutcome) -> u64 {
     let mut text = String::new();
     for r in &o.history {
@@ -57,7 +48,7 @@ fn outcome_digest(o: &TuningOutcome) -> u64 {
         ));
     }
     text.push_str(&format!("best={:?}@{:?}", o.best_objective, o.best_iteration));
-    fnv1a(text.as_bytes())
+    xrand::fnv1a(text.as_bytes())
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end checks of the tracing layer (DESIGN.md §10) against real
-//! tuning runs: JSONL round-trips, span nesting under the scoped-thread
-//! parallel path, counter accuracy against known eval/retry counts from a
-//! seeded faulty run, and the span-totals-vs-`IterationTiming` contract.
+//! tuning runs: JSONL round-trips, span nesting under the per-iteration
+//! phases, counter accuracy against known eval/retry counts from a seeded
+//! faulty run, and the span-totals-vs-`IterationTiming` contract.
 
 use dbsim::{FaultPlan, InstanceType, KnobSet, WorkloadSpec};
 use restune::core::acquisition::AcquisitionOptimizer;
@@ -44,9 +44,7 @@ fn thirty_iteration_span_totals_match_iteration_timing_sums() {
     let _g = trace_lock();
     trace::enable();
     trace::reset();
-    let mut config = quick_config(11);
-    config.parallel = true;
-    let mut session = TuningSession::new(env_with(11, None), config);
+    let mut session = TuningSession::new(env_with(11, None), quick_config(11));
     let mut sums = [0.0_f64; 5];
     let mut replay_sim = 0.0;
     for _ in 0..30 {
@@ -84,15 +82,14 @@ fn thirty_iteration_span_totals_match_iteration_timing_sums() {
 }
 
 #[test]
-fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
+fn fit_draw_and_scoring_spans_nest_under_their_phases() {
     let _g = trace_lock();
     trace::enable();
     trace::reset();
     let mut config = quick_config(5);
-    config.parallel = true;
     config.init_iters = 2;
-    // Meta-boosted session so per-learner dynamic-weight draws fan out on
-    // scoped threads (serial draws would produce the same paths).
+    // Meta-boosted session so dynamic-weight iterations draw posterior
+    // samples per learner.
     let characterizer = workload::WorkloadCharacterizer::train_default(3);
     let mut repo = restune::core::repository::DataRepository::new();
     for (i, spec) in WorkloadSpec::twitter_variations().into_iter().take(2).enumerate() {
@@ -118,8 +115,7 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     trace::reset();
     trace::disable();
     let agg = snap.span_agg();
-    // The three metric GPs fit on scoped threads but aggregate under the
-    // ambient gp_fit path via context propagation.
+    // Each of the three metric GP fits records its own span under gp_fit.
     for metric in ["fit_res", "fit_tps", "fit_lat"] {
         let path = format!("iteration/model_update/gp_fit/{metric}");
         assert_eq!(agg[&path].count, 6, "missing per-metric fit spans at {path}");
@@ -128,7 +124,7 @@ fn parallel_path_nests_scoped_thread_spans_under_their_phases() {
     // + target) under the weight_update path.
     let draws = &agg["iteration/model_update/weight_update/learner_draws"];
     assert_eq!(draws.count, 4 * 3);
-    // Candidate scoring chunks under the recommendation path.
+    // Candidate scoring under the recommendation path.
     let scored = agg
         .iter()
         .filter(|(p, _)| p.as_str().starts_with("iteration/recommendation/score_candidates"))
